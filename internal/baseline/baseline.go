@@ -71,9 +71,9 @@ func orderRowByBlank(in *core.Instance, chars []int) []int {
 	})
 	order := []int{sorted[0]}
 	for _, id := range sorted[1:] {
-		c := in.Characters[id]
-		left := in.Characters[order[0]]
-		right := in.Characters[order[len(order)-1]]
+		c := &in.Characters[id]
+		left := &in.Characters[order[0]]
+		right := &in.Characters[order[len(order)-1]]
 		costLeft := c.Width - core.HOverlap(c, left)
 		costRight := c.Width - core.HOverlap(right, c)
 		if costLeft < costRight {
@@ -89,8 +89,8 @@ func orderRowByBlank(in *core.Instance, chars []int) []int {
 func rowXs(in *core.Instance, order []int) []int {
 	xs := make([]int, len(order))
 	for k := 1; k < len(order); k++ {
-		prev := in.Characters[order[k-1]]
-		cur := in.Characters[order[k]]
+		prev := &in.Characters[order[k-1]]
+		cur := &in.Characters[order[k]]
 		xs[k] = xs[k-1] + prev.Width - core.HOverlap(prev, cur)
 	}
 	return xs
@@ -154,7 +154,7 @@ func appendInsertion(in *core.Instance, rows [][]int) [][]int {
 		if selected[id] {
 			continue
 		}
-		c := in.Characters[id]
+		c := &in.Characters[id]
 		if c.Width > in.StencilWidth {
 			continue
 		}
@@ -163,7 +163,7 @@ func appendInsertion(in *core.Instance, rows [][]int) [][]int {
 			if len(order) == 0 {
 				newWidth = c.Width
 			} else {
-				last := in.Characters[order[len(order)-1]]
+				last := &in.Characters[order[len(order)-1]]
 				newWidth = widths[j] + c.Width - core.HOverlap(last, c)
 			}
 			if newWidth <= in.StencilWidth {

@@ -22,13 +22,13 @@ func Greedy1D(in *core.Instance) (*core.Solution, error) {
 	widths := make([]int, m)
 
 	for _, id := range staticOrder(in, false) {
-		c := in.Characters[id]
+		c := &in.Characters[id]
 		for j := 0; j < m; j++ {
 			var newWidth int
 			if len(rows[j]) == 0 {
 				newWidth = c.Width
 			} else {
-				last := in.Characters[rows[j][len(rows[j])-1]]
+				last := &in.Characters[rows[j][len(rows[j])-1]]
 				newWidth = widths[j] + c.Width - core.HOverlap(last, c)
 			}
 			if newWidth <= in.StencilWidth {

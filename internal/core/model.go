@@ -108,14 +108,16 @@ func (c Character) Validate(numRegions int) error {
 
 // HOverlap returns the horizontal blank overlap o^h when character a is
 // placed immediately to the left of character b: the adjacent blanks may be
-// shared, so the packing saves min(a.BlankRight, b.BlankLeft).
-func HOverlap(a, b Character) int {
+// shared, so the packing saves min(a.BlankRight, b.BlankLeft). The
+// characters are passed by pointer: Character is large enough that a
+// by-value copy dominates this one-line function in packing loops.
+func HOverlap(a, b *Character) int {
 	return min(a.BlankRight, b.BlankLeft)
 }
 
 // VOverlap returns the vertical blank overlap o^v when character a is placed
 // immediately below character b.
-func VOverlap(a, b Character) int {
+func VOverlap(a, b *Character) int {
 	return min(a.BlankTop, b.BlankBottom)
 }
 

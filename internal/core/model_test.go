@@ -80,13 +80,13 @@ func TestCharacterValidate(t *testing.T) {
 func TestHVOverlap(t *testing.T) {
 	a := Character{BlankLeft: 3, BlankRight: 7, BlankTop: 2, BlankBottom: 4}
 	b := Character{BlankLeft: 5, BlankRight: 1, BlankTop: 6, BlankBottom: 8}
-	if got := HOverlap(a, b); got != 5 {
+	if got := HOverlap(&a, &b); got != 5 {
 		t.Errorf("HOverlap = %d, want 5 (min(right=7, left=5))", got)
 	}
-	if got := HOverlap(b, a); got != 1 {
+	if got := HOverlap(&b, &a); got != 1 {
 		t.Errorf("HOverlap reversed = %d, want 1", got)
 	}
-	if got := VOverlap(a, b); got != 2 {
+	if got := VOverlap(&a, &b); got != 2 {
 		t.Errorf("VOverlap = %d, want 2 (min(top=2, bottom=8))", got)
 	}
 }

@@ -104,14 +104,14 @@ func (s *Solution) Validate1D(in *Instance) error {
 			if !s.Selected[id] {
 				return fmt.Errorf("core: character %d placed but not selected", id)
 			}
-			ch := in.Characters[id]
+			ch := &in.Characters[id]
 			x := row.X[k]
 			if x < 0 || x+ch.Width > in.StencilWidth {
 				return fmt.Errorf("core: character %d at x=%d exceeds stencil width %d", id, x, in.StencilWidth)
 			}
 			if k > 0 {
 				prevID := row.Chars[k-1]
-				prev := in.Characters[prevID]
+				prev := &in.Characters[prevID]
 				prevX := row.X[k-1]
 				if x < prevX {
 					return fmt.Errorf("core: row %d characters not ordered by x", ri)
@@ -216,8 +216,8 @@ func MinRowLength(in *Instance, order []int) int {
 	}
 	total := in.Characters[order[0]].Width
 	for k := 1; k < len(order); k++ {
-		prev := in.Characters[order[k-1]]
-		cur := in.Characters[order[k]]
+		prev := &in.Characters[order[k-1]]
+		cur := &in.Characters[order[k]]
 		total += cur.Width - HOverlap(prev, cur)
 	}
 	return total

@@ -9,7 +9,8 @@ package core
 // character at all is prepared on the stencil (pure VSB writing).
 func (in *Instance) VSBTime() []int64 {
 	t := make([]int64, in.NumRegions)
-	for _, c := range in.Characters {
+	for i := range in.Characters {
+		c := &in.Characters[i]
 		for r, rep := range c.Repeats {
 			t[r] += rep * int64(c.VSBShots)
 		}
@@ -20,7 +21,7 @@ func (in *Instance) VSBTime() []int64 {
 // Reduction returns R_ic = t_ic * (n_i - 1): the writing-time reduction in
 // region c obtained by preparing character i on the stencil.
 func (in *Instance) Reduction(i, c int) int64 {
-	ch := in.Characters[i]
+	ch := &in.Characters[i]
 	return ch.Repeats[c] * int64(ch.VSBShots-1)
 }
 
@@ -32,7 +33,7 @@ func (in *Instance) RegionTimes(selected []bool) []int64 {
 		if !sel {
 			continue
 		}
-		ch := in.Characters[i]
+		ch := &in.Characters[i]
 		for r, rep := range ch.Repeats {
 			t[r] -= rep * int64(ch.VSBShots-1)
 		}
@@ -60,7 +61,8 @@ func (in *Instance) Profits(regionTimes []int64) []float64 {
 	if tmax <= 0 {
 		return profits
 	}
-	for i, c := range in.Characters {
+	for i := range in.Characters {
+		c := &in.Characters[i]
 		var p float64
 		for r, rep := range c.Repeats {
 			w := float64(regionTimes[r]) / float64(tmax)
@@ -76,7 +78,8 @@ func (in *Instance) Profits(regionTimes []int64) []float64 {
 // profit used when region balancing is irrelevant (single-CP systems).
 func (in *Instance) StaticProfits() []float64 {
 	profits := make([]float64, len(in.Characters))
-	for i, c := range in.Characters {
+	for i := range in.Characters {
+		c := &in.Characters[i]
 		var p int64
 		for _, rep := range c.Repeats {
 			p += rep * int64(c.VSBShots-1)

@@ -129,7 +129,7 @@ func Solve1D(ctx context.Context, in *core.Instance, opt Options) (*Result, erro
 	// both characters sit on the same row.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			ci, cj := in.Characters[i], in.Characters[j]
+			ci, cj := &in.Characters[i], &in.Characters[j]
 			wij := float64(ci.Width - core.HOverlap(ci, cj))
 			wji := float64(cj.Width - core.HOverlap(cj, ci))
 			p := pIdx(i, j)
@@ -190,8 +190,8 @@ func Solve1D(ctx context.Context, in *core.Instance, opt Options) (*Result, erro
 		sortByX(chars, res.X, 1)
 		xs := make([]int, len(chars))
 		for idx := 1; idx < len(chars); idx++ {
-			prev := in.Characters[chars[idx-1]]
-			cur := in.Characters[chars[idx]]
+			prev := &in.Characters[chars[idx-1]]
+			cur := &in.Characters[chars[idx]]
 			xs[idx] = xs[idx-1] + prev.Width - core.HOverlap(prev, cur)
 		}
 		sol.Rows = append(sol.Rows, core.Row{Y: k * in.RowHeight, Chars: chars, X: xs})
@@ -269,7 +269,7 @@ func Solve2D(ctx context.Context, in *core.Instance, opt Options) (*Result, erro
 	// (7b)-(7e)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			ci, cj := in.Characters[i], in.Characters[j]
+			ci, cj := &in.Characters[i], &in.Characters[j]
 			wij := float64(ci.Width - core.HOverlap(ci, cj))
 			wji := float64(cj.Width - core.HOverlap(cj, ci))
 			hij := float64(ci.Height - core.VOverlap(ci, cj))

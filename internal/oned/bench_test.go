@@ -3,6 +3,8 @@ package oned
 import (
 	"strconv"
 	"testing"
+
+	"eblow/internal/gen"
 )
 
 // BenchmarkRelaxationDecomposed measures the block-decomposed LP relaxation
@@ -67,6 +69,38 @@ func BenchmarkRelaxationStructured(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := s.solveRelaxation(unsolved, caps); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPostSwap measures one post-swap pass on the 1000-character 1M-1
+// instance, from the state the earlier Solve stages leave, at 1 and 2
+// workers. Each iteration restores that state first, off the clock.
+func BenchmarkPostSwap(b *testing.B) {
+	in := gen.Family1M(1)
+	for _, w := range []int{1, 2} {
+		b.Run("w"+strconv.Itoa(w), func(b *testing.B) {
+			opt := Defaults()
+			opt.Workers = w
+			s := postSwapInput(b, in, opt)
+			rows := append([]rowState(nil), s.rows...)
+			assigned := append([]int(nil), s.assigned...)
+			solved := append([]bool(nil), s.solved...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j, r := range rows {
+					r.chars = append([]int(nil), r.chars...)
+					s.rows[j] = r
+				}
+				copy(s.assigned, assigned)
+				copy(s.solved, solved)
+				b.StartTimer()
+				if !s.postSwapOnce() {
+					b.Fatal("the pass applied no swap")
 				}
 			}
 		})

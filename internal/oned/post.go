@@ -5,6 +5,7 @@ import (
 
 	"eblow/internal/core"
 	"eblow/internal/matching"
+	"eblow/internal/par"
 )
 
 // This file implements the two post-optimization stages of E-BLOW 1D:
@@ -19,6 +20,9 @@ import (
 // tightly packed to admit a wider character one-for-one — for two adjacent
 // on-stencil characters.
 func (s *solver) postSwap() {
+	// Built here, not in newSolver: the relaxation's working memory is
+	// garbage by now, so the table does not add to the solve's peak.
+	s.red, s.redTotal = reductionTable(s.in)
 	for pass := 0; pass < 8; pass++ {
 		if s.ctx.Err() != nil {
 			return
@@ -29,8 +33,33 @@ func (s *solver) postSwap() {
 	}
 }
 
+// reductionTable returns the flat n×NumRegions table of R_ic
+// (core.Instance.Reduction) and each character's row sum.
+func reductionTable(in *core.Instance) (red, total []int64) {
+	nr := in.NumRegions
+	red = make([]int64, len(in.Characters)*nr)
+	total = make([]int64, len(in.Characters))
+	for i := range in.Characters {
+		for c := range nr {
+			red[i*nr+c] = in.Reduction(i, c)
+			total[i] += red[i*nr+c]
+		}
+	}
+	return red, total
+}
+
 // postSwapOnce performs one sweep over the unselected candidates and reports
 // whether any swap was applied.
+//
+// A swap is accepted when it strictly reduces the maximum region time, or
+// keeps the maximum and strictly reduces the total writing time; the second
+// case matters when several regions are tied at the maximum and no single
+// swap can lower all of them at once. Among the feasible swaps for a
+// candidate the lexicographically smallest (max, total) wins, the first in
+// (row, position, one-for-one before one-for-two) order on ties. Rows are
+// scanned on the worker pool, each into its own slot, and the slots are
+// merged in row order with the same strict rule, so the choice is the one a
+// sequential scan makes, for any worker count.
 func (s *solver) postSwapOnce() bool {
 	times := s.regionTimes()
 	profits := s.currentProfits()
@@ -40,106 +69,159 @@ func (s *solver) postSwapOnce() bool {
 		return false
 	}
 
-	reductions := func(i int) []int64 {
-		r := make([]int64, s.in.NumRegions)
-		for c := range r {
-			r[c] = s.in.Reduction(i, c)
-		}
-		return r
-	}
+	nr := s.in.NumRegions
+	base := swapBase{times: make([]int64, nr)}
+	moves := make([]swapMove, s.m) // best move per row
 	improvedAny := false
 
 	for _, u := range candidates {
 		if s.assigned[u] >= 0 {
 			continue
 		}
-		ru := reductions(u)
-		curMax := core.MaxInt64(times)
-		curTotal := sumTimes(times)
-		bestRow := -1
-		var bestOut []int // characters leaving the stencil
-		var bestMax, bestTotal int64
-		var bestOrder []int
-
-		// A swap is accepted when it strictly reduces the maximum region
-		// time, or keeps the maximum and strictly reduces the total writing
-		// time; the second case matters when several regions are tied at the
-		// maximum and no single swap can lower all of them at once.
-		consider := func(j int, out []int, order []int, newMax, newTotal int64) {
-			if newMax > curMax || (newMax == curMax && newTotal >= curTotal) {
-				return
+		ru := s.red[u*nr : (u+1)*nr]
+		base.total, base.hot = 0, 0
+		for c, t := range times {
+			base.times[c] = t - ru[c]
+			base.total += base.times[c]
+			if base.times[c] > base.times[base.hot] {
+				base.hot = c
 			}
-			if bestRow >= 0 && (newMax > bestMax || (newMax == bestMax && newTotal >= bestTotal)) {
-				return
-			}
-			if s.rowWidthWithOrder(order) > s.w {
-				return
-			}
-			bestRow, bestMax, bestTotal = j, newMax, newTotal
-			bestOut = append([]int(nil), out...)
-			bestOrder = append([]int(nil), order...)
 		}
-
-		after := func(out []int) (int64, int64) {
-			var newMax, newTotal int64
-			for c := range times {
-				t := times[c] - ru[c]
-				for _, v := range out {
-					t += s.in.Reduction(v, c)
-				}
-				if t > newMax {
-					newMax = t
-				}
-				newTotal += t
-			}
-			return newMax, newTotal
-		}
-
-		for j := range s.rows {
-			if !s.allowed(u, j) {
-				continue
-			}
-			row := &s.rows[j]
-			for k, v := range row.order {
-				// One-for-one: replace v by u.
-				order := append([]int(nil), row.order...)
-				order[k] = u
-				nm, nt := after([]int{v})
-				consider(j, []int{v}, order, nm, nt)
-				// One-for-two: replace the adjacent pair (v, next) by u; this
-				// is the only way a wide character can enter a tightly packed
-				// row.
-				if k+1 < len(row.order) {
-					v2 := row.order[k+1]
-					order2 := make([]int, 0, len(row.order)-1)
-					order2 = append(order2, row.order[:k]...)
-					order2 = append(order2, u)
-					order2 = append(order2, row.order[k+2:]...)
-					nm2, nt2 := after([]int{v, v2})
-					consider(j, []int{v, v2}, order2, nm2, nt2)
-				}
+		cur := swapMove{max: core.MaxInt64(times), total: sumTimes(times)}
+		par.For(s.opt.workerCount(), s.m, func(j int) {
+			moves[j] = s.bestSwapInRow(u, j, &base, cur)
+		})
+		best, bestRow := cur, -1
+		for j, mv := range moves {
+			if mv.drop > 0 && mv.beats(best) {
+				best, bestRow = mv, j
 			}
 		}
 		if bestRow < 0 {
 			continue
 		}
 		// Apply the swap.
-		for _, v := range bestOut {
+		row := &s.rows[bestRow]
+		order := make([]int, 0, len(row.order)-best.drop+1)
+		order = append(order, row.order[:best.k]...)
+		order = append(order, u)
+		order = append(order, row.order[best.k+best.drop:]...)
+		for _, v := range row.order[best.k : best.k+best.drop] {
 			s.unassign(v)
-			for c := range times {
-				times[c] += s.in.Reduction(v, c)
+			for c, r := range s.red[v*nr : (v+1)*nr] {
+				times[c] += r
 			}
 		}
 		s.assign(u, bestRow)
-		row := &s.rows[bestRow]
-		row.order = bestOrder
-		row.width = s.rowWidthWithOrder(bestOrder)
+		row.order = order
+		row.width = s.rowWidthWithOrder(order)
 		for c := range times {
 			times[c] -= ru[c]
 		}
 		improvedAny = true
 	}
 	return improvedAny
+}
+
+// swapBase is the region times with one swap candidate added to the
+// stencil, before any character leaves it.
+type swapBase struct {
+	times []int64
+	total int64 // sum of times
+	hot   int   // index of the slowest region
+}
+
+// swapMove is a post-swap move inside one row: the drop (1 or 2) adjacent
+// characters at order position k leave the stencil for the candidate, and
+// the region times become ones with maximum max (floored at zero) and sum
+// total. drop 0 means no move.
+type swapMove struct {
+	max, total int64
+	k, drop    int
+}
+
+// beats reports whether m has a strictly smaller (max, total) than o.
+func (m swapMove) beats(o swapMove) bool {
+	return m.max < o.max || (m.max == o.max && m.total < o.total)
+}
+
+// bestSwapInRow returns row j's first feasible move with the smallest
+// (max, total) that beats bar, or bar itself when none does. base holds
+// the region times with candidate u added. It only reads solver state, so
+// rows can be scanned concurrently.
+func (s *solver) bestSwapInRow(u, j int, base *swapBase, bar swapMove) swapMove {
+	if !s.allowed(u, j) {
+		return bar
+	}
+	order := s.rows[j].order
+	for k := range order {
+		// One-for-one replaces order[k] by u; one-for-two replaces the
+		// adjacent pair starting at k, the only way a wide character can
+		// enter a tightly packed row.
+		for drop := 1; drop <= 2 && k+drop <= len(order); drop++ {
+			mv, ok := s.swapCost(base, order[k:k+drop], bar)
+			if !ok || s.spliceWidth(j, k, drop, u) > s.w {
+				continue
+			}
+			mv.k, mv.drop = k, drop
+			bar = mv
+		}
+	}
+	return bar
+}
+
+// swapCost evaluates the region times of base once the characters in out
+// leave the stencil, and reports whether the resulting (max, total) beats
+// bar. The total and a lower bound on the maximum — the slowest base
+// region — cost O(len(out)) and reject most moves; the full maximum is
+// scanned only for the rest, and abandoned once a region exceeds bar.max.
+func (s *solver) swapCost(base *swapBase, out []int, bar swapMove) (swapMove, bool) {
+	nr := len(base.times)
+	mv := swapMove{total: base.total}
+	lower := base.times[base.hot]
+	for _, v := range out {
+		mv.total += s.redTotal[v]
+		lower += s.red[v*nr+base.hot]
+	}
+	if lower > bar.max || (lower == bar.max && mv.total >= bar.total) {
+		return mv, false
+	}
+	for c, t := range base.times {
+		for _, v := range out {
+			t += s.red[v*nr+c]
+		}
+		if t > bar.max {
+			return mv, false
+		}
+		mv.max = max(mv.max, t)
+	}
+	return mv, mv.beats(bar)
+}
+
+// spliceWidth returns the packed width of row j's order with its drop
+// characters from position k replaced by u. It starts from the row's width
+// (always core.MinRowLength of its order) and redoes only the joints the
+// splice changes, so it costs O(drop) whatever the row's length.
+func (s *solver) spliceWidth(j, k, drop, u int) int {
+	order := s.rows[j].order
+	cs := s.in.Characters
+	cu := &cs[u]
+	width := s.rows[j].width + cu.Width
+	for p := k; p < k+drop; p++ {
+		width -= cs[order[p]].Width
+		if p > k {
+			width += core.HOverlap(&cs[order[p-1]], &cs[order[p]])
+		}
+	}
+	if k > 0 {
+		prev := &cs[order[k-1]]
+		width += core.HOverlap(prev, &cs[order[k]]) - core.HOverlap(prev, cu)
+	}
+	if end := k + drop; end < len(order) {
+		next := &cs[order[end]]
+		width += core.HOverlap(&cs[order[end-1]], next) - core.HOverlap(cu, next)
+	}
+	return width
 }
 
 // sumTimes returns the total writing time over all regions.
@@ -194,21 +276,13 @@ func (s *solver) postInsertOnce() int {
 		return 0
 	}
 
-	type insertion struct {
-		gap   int
-		delta int
-	}
-	best := make(map[[2]int]insertion) // (candidate index, row index) -> insertion
-
 	var edges []matching.Edge
 	for ci, u := range candidates {
 		for rj, rs := range rows {
 			if !s.allowed(u, rs.row) {
 				continue
 			}
-			gap, delta := s.bestInsertion(u, s.rows[rs.row].order)
-			if delta <= rs.slack {
-				best[[2]int{ci, rj}] = insertion{gap: gap, delta: delta}
+			if _, delta := s.bestInsertion(u, s.rows[rs.row].order); delta <= rs.slack {
 				edges = append(edges, matching.Edge{L: ci, R: rj, Weight: profits[u]})
 			}
 		}
@@ -224,12 +298,15 @@ func (s *solver) postInsertOnce() int {
 		}
 		u := candidates[ci]
 		rowIdx := rows[rj].row
-		ins := best[[2]int{ci, rj}]
 		row := &s.rows[rowIdx]
+		// The matching gives each row at most one insertion, so the row is
+		// still as it was when its edge was built: recomputing the gap
+		// finds the same one.
+		gap, _ := s.bestInsertion(u, row.order)
 		order := make([]int, 0, len(row.order)+1)
-		order = append(order, row.order[:ins.gap]...)
+		order = append(order, row.order[:gap]...)
 		order = append(order, u)
-		order = append(order, row.order[ins.gap:]...)
+		order = append(order, row.order[gap:]...)
 		width := s.rowWidthWithOrder(order)
 		if width > s.w {
 			continue // the symmetric estimate was off; skip this insertion
@@ -249,7 +326,7 @@ func (s *solver) appendRemaining() {
 	profits := s.currentProfits()
 	candidates := s.unselectedByProfit(profits, s.n)
 	for _, u := range candidates {
-		cu := s.in.Characters[u]
+		cu := &s.in.Characters[u]
 		for j := range s.rows {
 			if !s.allowed(u, j) {
 				continue
@@ -259,7 +336,7 @@ func (s *solver) appendRemaining() {
 			if len(row.order) == 0 {
 				newWidth = cu.Width
 			} else {
-				last := s.in.Characters[row.order[len(row.order)-1]]
+				last := &s.in.Characters[row.order[len(row.order)-1]]
 				newWidth = row.width + cu.Width - core.HOverlap(last, cu)
 			}
 			if newWidth <= s.w {
@@ -276,7 +353,7 @@ func (s *solver) appendRemaining() {
 // increase when inserting character u into the ordered row, and that
 // increase.
 func (s *solver) bestInsertion(u int, order []int) (int, int) {
-	cu := s.in.Characters[u]
+	cu := &s.in.Characters[u]
 	if len(order) == 0 {
 		return 0, cu.Width
 	}
@@ -285,14 +362,14 @@ func (s *solver) bestInsertion(u int, order []int) (int, int) {
 		var delta int
 		switch gap {
 		case 0:
-			first := s.in.Characters[order[0]]
+			first := &s.in.Characters[order[0]]
 			delta = cu.Width - core.HOverlap(cu, first)
 		case len(order):
-			last := s.in.Characters[order[len(order)-1]]
+			last := &s.in.Characters[order[len(order)-1]]
 			delta = cu.Width - core.HOverlap(last, cu)
 		default:
-			a := s.in.Characters[order[gap-1]]
-			b := s.in.Characters[order[gap]]
+			a := &s.in.Characters[order[gap-1]]
+			b := &s.in.Characters[order[gap]]
 			delta = cu.Width - core.HOverlap(a, cu) - core.HOverlap(cu, b) + core.HOverlap(a, b)
 		}
 		if bestGap < 0 || delta < bestDelta {

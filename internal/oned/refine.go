@@ -41,7 +41,7 @@ func refineRow(in *core.Instance, chars []int, pruneThreshold int) []int {
 		return sorted[a] < sorted[b]
 	})
 
-	first := in.Characters[sorted[0]]
+	first := &in.Characters[sorted[0]]
 	solutions := []partialOrder{{
 		width: first.Width,
 		left:  first.BlankLeft,
@@ -50,7 +50,7 @@ func refineRow(in *core.Instance, chars []int, pruneThreshold int) []int {
 	}}
 
 	for _, id := range sorted[1:] {
-		c := in.Characters[id]
+		c := &in.Characters[id]
 		next := make([]partialOrder, 0, 2*len(solutions))
 		for _, s := range solutions {
 			// Insert at the left end: the character's right blank overlaps
@@ -131,8 +131,8 @@ func pruneInferior(sols []partialOrder, limit int) []partialOrder {
 func positionsForOrder(in *core.Instance, order []int) []int {
 	xs := make([]int, len(order))
 	for k := 1; k < len(order); k++ {
-		prev := in.Characters[order[k-1]]
-		cur := in.Characters[order[k]]
+		prev := &in.Characters[order[k-1]]
+		cur := &in.Characters[order[k]]
 		xs[k] = xs[k-1] + prev.Width - core.HOverlap(prev, cur)
 	}
 	return xs

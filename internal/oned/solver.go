@@ -26,6 +26,12 @@ type solver struct {
 	sblank []int // symmetric blanks s_i
 	effW   []int // w_i - s_i
 
+	// red is the n×NumRegions reduction table post-swap reads:
+	// red[i*NumRegions+c] is R_ic (core.Instance.Reduction), and
+	// redTotal[i] sums character i's row of it. Nil before post-swap.
+	red      []int64
+	redTotal []int64
+
 	assigned []int  // row index per character, -1 when not on the stencil
 	solved   []bool // successive-rounding bookkeeping
 	profits  []float64
@@ -58,7 +64,7 @@ type rowState struct {
 	usedEff  int // sum of (w_i - s_i) over assigned characters
 	maxBlank int // max s_i over assigned characters
 	order    []int
-	width    int
+	width    int // packed width of order, always core.MinRowLength(order)
 }
 
 // Solve runs the full E-BLOW 1D flow on the instance and returns the stencil
@@ -147,7 +153,8 @@ func newSolver(ctx context.Context, in *core.Instance, opt Options) (*solver, er
 	s.assigned = make([]int, s.n)
 	s.solved = make([]bool, s.n)
 	s.rows = make([]rowState, s.m)
-	for i, c := range in.Characters {
+	for i := range in.Characters {
+		c := &in.Characters[i]
 		s.width[i] = c.Width
 		s.sblank[i] = c.SymmetricHBlank()
 		s.effW[i] = c.Width - s.sblank[i]
@@ -174,11 +181,10 @@ func (s *solver) selection() []bool {
 // evaluated on the worker pool; each worker owns whole regions, so the
 // result matches the sequential core.Instance.RegionTimes exactly.
 func (s *solver) regionTimes() []int64 {
-	sel := s.selection()
 	t := s.in.VSBTime()
 	par.For(s.opt.workerCount(), len(t), func(r int) {
-		for i, on := range sel {
-			if on {
+		for i, row := range s.assigned {
+			if row >= 0 {
 				t[r] -= s.in.Reduction(i, r)
 			}
 		}
