@@ -298,9 +298,11 @@ type lpPerfRecord struct {
 	WarmColdResolveRatio float64 `json:"warmColdResolveRatio"`
 
 	// Fast-ILP-convergence branch and bound: total node-relaxation pivots
-	// with parent-basis warm starts vs cold.
+	// and evaluated nodes with parent-basis warm starts vs cold.
 	FastILPPivotsWarm int `json:"fastIlpPivotsWarm"`
 	FastILPPivotsCold int `json:"fastIlpPivotsCold"`
+	FastILPNodesWarm  int `json:"fastIlpNodesWarm"`
+	FastILPNodesCold  int `json:"fastIlpNodesCold"`
 }
 
 // runLPPerf runs the 1D planner twice on one case with the simplex LP
@@ -345,6 +347,8 @@ func runLPPerf(ctx context.Context, caseName, jsonPath string) error {
 		ColdResolvePivots: cold.RelaxResolvePivots,
 		FastILPPivotsWarm: warm.FastILPPivots,
 		FastILPPivotsCold: cold.FastILPPivots,
+		FastILPNodesWarm:  warm.FastILPNodes,
+		FastILPNodesCold:  cold.FastILPNodes,
 	}
 	if s := warm.RelaxElapsed.Seconds(); s > 0 {
 		rec.PivotsPerSec = float64(warm.RelaxPivots) / s
@@ -361,8 +365,8 @@ func runLPPerf(ctx context.Context, caseName, jsonPath string) error {
 	fmt.Printf("re-solves: warm %d pivots over %d solves, cold %d pivots over %d solves -> warm/cold ratio %.3f\n",
 		rec.WarmResolvePivots, rec.WarmResolves, rec.ColdResolvePivots, rec.ColdResolves,
 		rec.WarmColdResolveRatio)
-	fmt.Printf("fast-ILP branch and bound: %d pivots warm-started, %d cold\n",
-		rec.FastILPPivotsWarm, rec.FastILPPivotsCold)
+	fmt.Printf("fast-ILP branch and bound: %d pivots over %d nodes warm-started, %d pivots over %d nodes cold\n",
+		rec.FastILPPivotsWarm, rec.FastILPNodesWarm, rec.FastILPPivotsCold, rec.FastILPNodesCold)
 
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)

@@ -93,6 +93,9 @@ type jobRecord struct {
 	replayed    bool
 	walDone     bool // the terminal WAL record has been written
 	dispatching bool // a dispatch attempt is in flight; don't start another
+	// dispatchSeq is the Dispatcher.dispatchSeq value stamped when the job
+	// was last assigned to node (0 for a WAL replay).
+	dispatchSeq uint64
 }
 
 // nodeState is the dispatcher's view of one backend. The client is
@@ -124,6 +127,9 @@ type Dispatcher struct {
 	order []string
 	// guarded by mu
 	nextID int
+	// guarded by mu — counts successful dispatches; a probe compares
+	// stamps against it to tell jobs assigned after its list was fetched
+	dispatchSeq uint64
 	// guarded by mu
 	closed bool
 
@@ -350,6 +356,8 @@ func (d *Dispatcher) tryDispatch(id string) {
 	}
 	j.node = owner
 	j.backendID = backendID
+	d.dispatchSeq++
+	j.dispatchSeq = d.dispatchSeq
 	d.applyBackendDocLocked(j, doc)
 	terminalRec, ok := d.terminalRecordLocked(j)
 	d.mu.Unlock()
@@ -427,6 +435,11 @@ func (d *Dispatcher) watchNode(name string) {
 			return
 		case <-time.After(delay):
 		}
+		// Every job dispatched up to here was accepted by its node before
+		// the list request leaves, so the list must contain it.
+		d.mu.Lock()
+		listedSeq := d.dispatchSeq
+		d.mu.Unlock()
 		ctx, cancel := context.WithTimeout(context.Background(), shortTimeout)
 		list, err := ns.client.listJobs(ctx)
 		cancel()
@@ -435,7 +448,7 @@ func (d *Dispatcher) watchNode(name string) {
 			continue
 		}
 		delay = d.cfg.HealthInterval
-		d.nodeProbeOK(ns, list)
+		d.nodeProbeOK(ns, list, listedSeq)
 	}
 }
 
@@ -479,8 +492,10 @@ func (d *Dispatcher) nodeProbeFailed(ns *nodeState, probeErr error) time.Duratio
 }
 
 // nodeProbeOK folds a successful probe's job list into the dispatcher's
-// records and rejoins the node if it had been marked dead.
-func (d *Dispatcher) nodeProbeOK(ns *nodeState, list []map[string]any) {
+// records and rejoins the node if it had been marked dead. listedSeq is
+// the dispatch counter read before the list was fetched: a job dispatched
+// after that may be missing from the list without being lost.
+func (d *Dispatcher) nodeProbeOK(ns *nodeState, list []map[string]any, listedSeq uint64) {
 	byID := make(map[string]map[string]any, len(list))
 	for _, doc := range list {
 		if id, _ := doc["id"].(string); id != "" {
@@ -502,6 +517,9 @@ func (d *Dispatcher) nodeProbeOK(ns *nodeState, list []map[string]any) {
 			continue
 		}
 		doc, known := byID[j.backendID]
+		if !known && j.dispatchSeq > listedSeq {
+			continue // dispatched while the list was in flight
+		}
 		if !known {
 			// The backend no longer knows the job (it restarted with an
 			// empty queue, or evicted the record): hand it back to the

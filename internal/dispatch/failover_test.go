@@ -541,3 +541,70 @@ func TestDispatchCancelUnassigned(t *testing.T) {
 		t.Fatalf("synthesized terminal event = %v", ev)
 	}
 }
+
+// TestProbeStaleListKeepsLateDispatch replays the race behind a duplicate
+// solve: a node's job list is fetched, a job is dispatched to that node,
+// and only then is the list folded in. The list is stale, not evidence of
+// loss, so the job must keep its assignment instead of being submitted to
+// the node a second time. A list fetched after the dispatch that still
+// misses the job does declare it lost.
+func TestProbeStaleListKeepsLateDispatch(t *testing.T) {
+	nodes, cfgs := newFleet(t, 1, 1)
+	// An hour-long interval keeps the background probe and janitor out of
+	// the way; the test drives nodeProbeOK by hand.
+	d, err := New(Config{Nodes: cfgs, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx := context.Background()
+	d.mu.Lock()
+	ns := d.nodes[nodes[0].name]
+	listedSeq := d.dispatchSeq
+	d.mu.Unlock()
+	stale, err := ns.client.listJobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	doc, err := d.Submit(submitBody(t, eblow.OneD, 30, 100, "greedy", "late"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := doc["id"].(string)
+	backendID := func() string {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.jobs[id].backendID
+	}
+	backendJobs := func() int {
+		list, err := ns.client.listJobs(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(list)
+	}
+	first := backendID()
+	if first == "" {
+		t.Fatalf("job %s was not dispatched on submit", id)
+	}
+
+	d.nodeProbeOK(ns, stale, listedSeq)
+	if got := backendID(); got != first {
+		t.Fatalf("stale list re-dispatched the job: backend id %q, was %q", got, first)
+	}
+	if n := backendJobs(); n != 1 {
+		t.Fatalf("node holds %d jobs after a stale probe, want 1", n)
+	}
+
+	d.mu.Lock()
+	listedSeq = d.dispatchSeq
+	d.mu.Unlock()
+	d.nodeProbeOK(ns, nil, listedSeq)
+	if got := backendID(); got == first || got == "" {
+		t.Fatalf("a fresh list missing the job left backend id %q (was %q); want a re-dispatch", got, first)
+	}
+	if n := backendJobs(); n != 2 {
+		t.Fatalf("node holds %d jobs after the lost-job sweep, want 2", n)
+	}
+}

@@ -130,6 +130,8 @@ func newEngine(p *Problem, opt Options, workers int, stop <-chan struct{}) *engi
 	// Per-worker clones instead of the historical mutate-and-restore of the
 	// caller's problem: each worker owns its bounds, the caller's lp.Problem
 	// is never touched, and the shared Stop channel interrupts every clone.
+	// A node only changes bounds, so each clone keeps one cached simplex
+	// workspace for the worker's whole search.
 	e.clones = make([]*lp.Problem, workers)
 	for w := range e.clones {
 		e.clones[w] = p.LP.Clone()

@@ -8,8 +8,11 @@ import (
 
 // Backend is one LP solver implementation. Solve must be deterministic —
 // the same problem and warm basis always produce the same Result — and
-// safe for concurrent use on distinct Problems. Backends that do not
-// support warm starts must ignore the warm argument and solve cold.
+// safe for concurrent use on distinct Problems. One Problem is never
+// solved from two goroutines at once, so a backend may cache per-Problem
+// state (the sparse backend keeps its simplex workspace there) as long as
+// the cache never changes a result. Backends that do not support warm
+// starts must ignore the warm argument and solve cold.
 type Backend interface {
 	Name() string
 	Solve(p *Problem, warm *Basis) (*Result, error)

@@ -95,6 +95,13 @@ type constraint struct {
 }
 
 // Problem is a linear program under construction.
+//
+// A Problem must not be solved from two goroutines at once: the sparse
+// backend caches its simplex workspace on the Problem (built on the first
+// solve that needs it, dropped by every mutator except SetBounds) and
+// reuses it on the next solve. Concurrent solvers each take a Clone, which
+// never shares the workspace. Reuse is invisible in results: a re-solve
+// returns exactly what a fresh Clone would.
 type Problem struct {
 	numVars  int
 	maximize bool
@@ -113,6 +120,10 @@ type Problem struct {
 	// cancelled context interrupt a solve mid-node instead of waiting out
 	// a full simplex run.
 	Stop <-chan struct{}
+
+	// ws is the sparse simplex workspace of the last warm solve, or nil.
+	// Only the structural bounds may change while it is cached.
+	ws *spx
 }
 
 // stopRequested polls the Stop channel without blocking.
@@ -149,7 +160,8 @@ func NewProblem(n int) *Problem {
 // channel is shared, which is exactly what a parallel branch-and-bound
 // search wants — one cancellation interrupts every per-worker simplex at
 // once. Constraint term slices are shared read-only; both sides may keep
-// appending constraints without affecting the other.
+// appending constraints without affecting the other. The cached solver
+// workspace is never copied: a clone builds its own on its first solve.
 func (p *Problem) Clone() *Problem {
 	return &Problem{
 		numVars:  p.numVars,
@@ -176,15 +188,24 @@ func (p *Problem) SetObjective(c []float64, maximize bool) {
 	}
 	copy(p.obj, c)
 	p.maximize = maximize
+	p.ws = nil
 }
 
 // SetObjectiveCoeff sets a single objective coefficient.
-func (p *Problem) SetObjectiveCoeff(j int, c float64) { p.obj[j] = c }
+func (p *Problem) SetObjectiveCoeff(j int, c float64) {
+	p.obj[j] = c
+	p.ws = nil
+}
 
 // SetMaximize sets the optimization direction.
-func (p *Problem) SetMaximize(maximize bool) { p.maximize = maximize }
+func (p *Problem) SetMaximize(maximize bool) {
+	p.maximize = maximize
+	p.ws = nil
+}
 
-// SetBounds sets the bounds of variable j.
+// SetBounds sets the bounds of variable j. It is the one mutator that
+// keeps the cached solver workspace: branch and bound changes nothing else
+// between node re-solves.
 func (p *Problem) SetBounds(j int, lo, hi float64) {
 	p.lower[j] = lo
 	p.upper[j] = hi
@@ -220,6 +241,7 @@ func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64) {
 	cp := make([]Term, len(terms))
 	copy(cp, terms)
 	p.cons = append(p.cons, constraint{terms: cp, op: op, rhs: rhs})
+	p.ws = nil
 }
 
 // AddDense appends a dense constraint row.

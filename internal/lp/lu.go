@@ -33,9 +33,12 @@ type luFactor struct {
 	// entering column and the remaining nonzero entries.
 	etas []luEta
 
-	// scratch buffers reused across solves
-	work []float64
-	ybuf []float64
+	// scratch buffers reused across factorizations and solves
+	work    []float64
+	ybuf    []float64
+	pivoted []bool
+	touched []int32
+	repairs []basisRepair
 }
 
 type luEta struct {
@@ -65,45 +68,44 @@ type basisRepair struct {
 	row    int
 }
 
-// factorize rebuilds the LU factors for the basis described by heading.
-// column(v, scatter) must invoke scatter(row, val) for every nonzero of
-// variable v's standard-form column. When a column turns out dependent it
-// is replaced in heading by the logical of the lowest-numbered unpivoted
-// row whose logical is not already basic, and the replacement is returned
-// so the caller can fix variable statuses. inBasis must report, per
-// logical row index, whether that row's logical is currently in heading;
+// factorize rebuilds the LU factors for the basis described by heading,
+// whose columns a supplies. When a column turns out dependent it is
+// replaced in heading by the logical of the lowest-numbered unpivoted row
+// whose logical is not already basic, and the replacement is returned so
+// the caller can fix variable statuses; the returned slice is scratch,
+// valid until the next factorize. logicalInBasis must report, per logical
+// row index, whether that row's logical is currently in heading;
 // factorize updates it for replacements.
-func (f *luFactor) factorize(m int, heading []int, logicalBase int,
-	column func(v int, scatter func(row int32, val float64)),
-	logicalInBasis []bool) []basisRepair {
-
+//
+// Every buffer, the per-column factor slices included, is resliced from
+// the previous factorization, so once the storage has grown to its working
+// size a refactorization allocates nothing.
+func (f *luFactor) factorize(m int, heading []int, a *csc, logicalInBasis []bool) []basisRepair {
 	f.m = m
 	f.pivRow = f.pivRow[:0]
 	f.pivVal = f.pivVal[:0]
-	f.lRows = f.lRows[:0]
-	f.lVals = f.lVals[:0]
-	f.uRows = f.uRows[:0]
-	f.uVals = f.uVals[:0]
+	f.lRows = resize(f.lRows, m)
+	f.lVals = resize(f.lVals, m)
+	f.uRows = resize(f.uRows, m)
+	f.uVals = resize(f.uVals, m)
 	f.etas = f.etas[:0]
-	if cap(f.work) < m {
-		f.work = make([]float64, m)
-		f.ybuf = make([]float64, m)
-	}
-	work := f.work[:m]
+	f.work = resize(f.work, m)
+	f.ybuf = resize(f.ybuf, m)
+	f.pivoted = resize(f.pivoted, m)
+	work, pivoted := f.work, f.pivoted
 	for i := range work {
 		work[i] = 0
+		pivoted[i] = false
 	}
-
-	pivoted := make([]bool, m)
-	var repairs []basisRepair
-	var touched []int32
+	repairs := f.repairs[:0]
+	touched := f.touched[:0]
 
 	loadColumn := func(v int) {
 		for _, r := range touched {
 			work[r] = 0
 		}
 		touched = touched[:0]
-		column(v, func(row int32, val float64) {
+		a.colScatter(v, func(row int32, val float64) {
 			if work[row] == 0 && val != 0 {
 				touched = append(touched, row)
 			}
@@ -115,6 +117,7 @@ func (f *luFactor) factorize(m int, heading []int, logicalBase int,
 		loadColumn(heading[t])
 
 		eliminate := func() (ur []int32, uv []float64) {
+			ur, uv = f.uRows[t][:0], f.uVals[t][:0]
 			for t2 := 0; t2 < t; t2++ {
 				pr := f.pivRow[t2]
 				fv := work[pr]
@@ -176,10 +179,10 @@ func (f *luFactor) factorize(m int, heading []int, logicalBase int,
 				}
 			}
 			repairs = append(repairs, basisRepair{pos: t, oldVar: heading[t], row: rr})
-			if old := heading[t] - logicalBase; old >= 0 && old < m {
+			if old := heading[t] - a.n; old >= 0 && old < m {
 				logicalInBasis[old] = false
 			}
-			heading[t] = logicalBase + rr
+			heading[t] = a.n + rr
 			logicalInBasis[rr] = true
 			loadColumn(heading[t])
 			ur, uv = eliminate()
@@ -191,8 +194,7 @@ func (f *luFactor) factorize(m int, heading []int, logicalBase int,
 
 		pv := work[piv]
 		pivoted[piv] = true
-		var lr []int32
-		var lv []float64
+		lr, lv := f.lRows[t][:0], f.lVals[t][:0]
 		for _, r := range touched {
 			if pivoted[r] {
 				continue
@@ -211,12 +213,21 @@ func (f *luFactor) factorize(m int, heading []int, logicalBase int,
 		}
 		f.pivRow = append(f.pivRow, int32(piv))
 		f.pivVal = append(f.pivVal, pv)
-		f.lRows = append(f.lRows, lr)
-		f.lVals = append(f.lVals, lv)
-		f.uRows = append(f.uRows, ur)
-		f.uVals = append(f.uVals, uv)
+		f.lRows[t], f.lVals[t] = lr, lv
+		f.uRows[t], f.uVals[t] = ur, uv
 	}
+	f.touched, f.repairs = touched, repairs
 	return repairs
+}
+
+// resize returns s with length m, keeping its elements (and so the backing
+// arrays of nested slices) for reuse. Elements beyond the old capacity are
+// zero; the others keep their stale values.
+func resize[T any](s []T, m int) []T {
+	if cap(s) < m {
+		return append(s[:cap(s)], make([]T, m-cap(s))...)
+	}
+	return s[:m]
 }
 
 // ftran solves B z = rhs in place: rhs is indexed by row on input and by
@@ -306,8 +317,14 @@ func (f *luFactor) update(pos int, alpha []float64) bool {
 	if math.Abs(piv) < singTol {
 		return false
 	}
-	var rows []int32
-	var vals []float64
+	k := len(f.etas)
+	if k < cap(f.etas) {
+		f.etas = f.etas[:k+1] // reuse the eta's row/value backing arrays
+	} else {
+		f.etas = append(f.etas, luEta{})
+	}
+	eta := &f.etas[k]
+	rows, vals := eta.rows[:0], eta.vals[:0]
 	for i, a := range alpha {
 		if i == pos {
 			continue
@@ -317,7 +334,7 @@ func (f *luFactor) update(pos int, alpha []float64) bool {
 			vals = append(vals, a)
 		}
 	}
-	f.etas = append(f.etas, luEta{pos: int32(pos), piv: piv, rows: rows, vals: vals})
+	*eta = luEta{pos: int32(pos), piv: piv, rows: rows, vals: vals}
 	return true
 }
 

@@ -36,17 +36,53 @@ const (
 // of the whole MaxIters budget.
 func stallLimit(m int) int { return 64 + m/4 }
 
-type spx struct {
-	p   *Problem
-	m   int // rows
-	n   int // structural variables
-	tot int // n + m
-
-	// Structural columns in CSC order; logical j >= n is the unit column
-	// e_{j-n} and is never stored.
+// csc is the structural part of the standard-form matrix in compressed
+// sparse column order. Variable v >= n is the logical of row v-n: the unit
+// column e_{v-n}, never stored.
+type csc struct {
+	n      int // structural variables
 	colPtr []int32
 	rowIdx []int32
 	colVal []float64
+}
+
+// colScatter invokes fn for every nonzero of variable v's standard-form
+// column (logical columns are the implicit unit vectors).
+func (a *csc) colScatter(v int, fn func(row int32, val float64)) {
+	if v < a.n {
+		for k := a.colPtr[v]; k < a.colPtr[v+1]; k++ {
+			fn(a.rowIdx[k], a.colVal[k])
+		}
+		return
+	}
+	fn(int32(v-a.n), 1)
+}
+
+// colDot returns A_v · w for a row-indexed vector w.
+func (a *csc) colDot(v int, w []float64) float64 {
+	if v >= a.n {
+		return w[v-a.n]
+	}
+	d := 0.0
+	for k := a.colPtr[v]; k < a.colPtr[v+1]; k++ {
+		d += a.colVal[k] * w[a.rowIdx[k]]
+	}
+	return d
+}
+
+// spx is the sparse simplex workspace of one Problem. Everything derived
+// from the problem's structure — the matrix, costs, logical bounds, rhs —
+// is built once by newSpx; reset refreshes the per-solve state (structural
+// bounds, pivot count and budget). Problem caches its workspace so that a
+// branch-and-bound worker re-solving one clone under different bounds
+// rebuilds nothing, and every buffer below, the LU storage included, is
+// reused across solves. Each solve overwrites all scratch before reading
+// it, so reuse never changes a result.
+type spx struct {
+	p   *Problem
+	m   int // rows
+	tot int // n + m
+	csc
 
 	cost []float64 // internal minimize costs, len tot (logicals are 0)
 	lo   []float64 // len tot
@@ -67,13 +103,17 @@ type spx struct {
 	alpha []float64 // ftran image of the entering column, by position
 	y     []float64 // btran image of the basic costs, by row
 	rho   []float64 // btran image of a unit row vector, by row
+	infW  []float64 // phase-1 infeasibility gradient, by position
 }
 
+// newSpx builds the workspace for p's current structure and objective.
+// Structural bounds are left to reset.
 func newSpx(p *Problem) *spx {
 	n := p.numVars
 	m := len(p.cons)
 	s := &spx{
-		p: p, m: m, n: n, tot: n + m,
+		p: p, m: m, tot: n + m,
+		csc:  csc{n: n},
 		cost: make([]float64, n+m),
 		lo:   make([]float64, n+m),
 		up:   make([]float64, n+m),
@@ -87,6 +127,7 @@ func newSpx(p *Problem) *spx {
 		alpha: make([]float64, m),
 		y:     make([]float64, m),
 		rho:   make([]float64, m),
+		infW:  make([]float64, m),
 	}
 	for j := 0; j < n; j++ {
 		if p.maximize {
@@ -94,8 +135,6 @@ func newSpx(p *Problem) *spx {
 		} else {
 			s.cost[j] = p.obj[j]
 		}
-		s.lo[j] = p.lower[j]
-		s.up[j] = p.upper[j]
 	}
 	// Build the CSC matrix. Terms are gathered as (col,row,val) triplets,
 	// sorted, and duplicates within one row accumulated, mirroring the
@@ -146,35 +185,22 @@ func newSpx(p *Problem) *spx {
 	for c := 0; c < n; c++ {
 		s.colPtr[c+1] += s.colPtr[c]
 	}
-	s.maxIters = p.MaxIters
-	if s.maxIters <= 0 {
-		s.maxIters = 50*(m+s.tot) + 10000
-	}
 	return s
 }
 
-// colScatter invokes fn for every nonzero of variable v's standard-form
-// column (logical columns are the implicit unit vectors).
-func (s *spx) colScatter(v int, fn func(row int32, val float64)) {
-	if v < s.n {
-		for k := s.colPtr[v]; k < s.colPtr[v+1]; k++ {
-			fn(s.rowIdx[k], s.colVal[k])
-		}
-		return
+// reset prepares the workspace for the next solve of p: it copies the
+// structural bounds (the only problem data that may change without
+// invalidating the workspace), zeroes the pivot count and re-reads
+// MaxIters.
+func (s *spx) reset() {
+	p := s.p
+	copy(s.lo[:s.n], p.lower)
+	copy(s.up[:s.n], p.upper)
+	s.iters = 0
+	s.maxIters = p.MaxIters
+	if s.maxIters <= 0 {
+		s.maxIters = 50*(s.m+s.tot) + 10000
 	}
-	fn(int32(v-s.n), 1)
-}
-
-// colDot returns A_v · w for a row-indexed vector w.
-func (s *spx) colDot(v int, w []float64) float64 {
-	if v >= s.n {
-		return w[v-s.n]
-	}
-	d := 0.0
-	for k := s.colPtr[v]; k < s.colPtr[v+1]; k++ {
-		d += s.colVal[k] * w[s.rowIdx[k]]
-	}
-	return d
 }
 
 // nbVal returns the value a nonbasic variable holds under its status.
@@ -281,7 +307,7 @@ func (s *spx) adoptBasis(warm *Basis) {
 // factorizeNow rebuilds the LU factors, applies any singularity repairs
 // to the status vector, and recomputes the basic values.
 func (s *spx) factorizeNow() {
-	repairs := s.lu.factorize(s.m, s.heading, s.n, s.colScatter, s.logicalInBasis)
+	repairs := s.lu.factorize(s.m, s.heading, &s.csc, s.logicalInBasis)
 	for _, rp := range repairs {
 		s.status[rp.oldVar] = s.defaultStatus(rp.oldVar)
 		s.status[s.n+rp.row] = Basic
@@ -549,7 +575,7 @@ func (s *spx) phase1() Status {
 	bland := false
 	stall := 0
 	limit := stallLimit(s.m)
-	w := make([]float64, s.m)
+	w := s.infW
 	for {
 		if s.iters >= s.maxIters || s.p.stopRequested() {
 			return IterationLimit
@@ -865,15 +891,20 @@ func (s *spx) dual() (Status, bool) {
 }
 
 // solveSparse runs the revised simplex on p, warm-starting from warm when
-// provided. It returns the result and the final basis (nil unless the
-// solve reached a terminal vertex).
+// provided, on p's cached workspace (built here on first use). It returns
+// the result and the final basis (nil unless the solve reached a terminal
+// vertex).
 func solveSparse(p *Problem, warm *Basis) (*Result, *Basis, error) {
 	for j := 0; j < p.numVars; j++ {
 		if p.lower[j] > p.upper[j]+eps {
 			return &Result{Status: Infeasible}, nil, nil
 		}
 	}
-	s := newSpx(p)
+	if p.ws == nil {
+		p.ws = newSpx(p)
+	}
+	s := p.ws
+	s.reset()
 	s.adoptBasis(warm)
 	s.factorizeNow()
 

@@ -236,6 +236,10 @@ type Trace struct {
 	// FastILPPivots sums the simplex iterations of every node relaxation in
 	// the fast-convergence branch and bound (0 when the step did not run).
 	FastILPPivots int
+	// FastILPNodes is the number of branch-and-bound nodes the
+	// fast-convergence step evaluated (ilp.Result.Nodes; 0 when the step
+	// did not run).
+	FastILPNodes int
 	// UsedFastConvergence reports whether Algorithm 2 ran.
 	UsedFastConvergence bool
 }

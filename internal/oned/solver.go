@@ -594,6 +594,7 @@ func (s *solver) fastConvergence() {
 		return
 	}
 	s.trace.FastILPPivots = res.LPPivots
+	s.trace.FastILPNodes = res.Nodes
 	// Apply the ILP decisions (highest value first so capacity conflicts are
 	// resolved in favour of the more attractive pairs).
 	type chosen struct {
