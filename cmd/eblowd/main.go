@@ -89,6 +89,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
+	"syscall"
 	"time"
 
 	"eblow"
@@ -172,9 +173,10 @@ func main() {
 	}
 	srv := &http.Server{Handler: handler}
 
-	// Ctrl-C / SIGINT drains in-flight requests, cancels running jobs and
-	// exits instead of dropping connections mid-response.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// SIGINT (Ctrl-C) or SIGTERM (kill, orchestrators) drains in-flight
+	// requests, cancels running jobs and exits instead of dropping
+	// connections mid-response.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	shutdownDone := make(chan struct{})
 	go func() {
@@ -269,7 +271,7 @@ func runDispatch(addr, nodesSpec, walPath, authKeys string, vnodes int, healthIn
 	}
 	srv := &http.Server{Handler: handler}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	shutdownDone := make(chan struct{})
 	go func() {

@@ -496,6 +496,47 @@ func TestDispatchRejectsBadSubmitsLocally(t *testing.T) {
 	}
 }
 
+// The dispatcher refuses a submit body over service.MaxSubmitBytes with 413
+// and records nothing; a body of exactly the limit is accepted and the
+// backend, which applies the same limit, runs it.
+func TestDispatchSubmitBodyLimit(t *testing.T) {
+	_, cfgs := newFleet(t, 1, 1)
+	d, err := New(Config{Nodes: cfgs, HealthInterval: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	front := httptest.NewServer(NewHandler(d))
+	defer front.Close()
+
+	valid := `{"benchmark":"1T-1","solver":"greedy"}`
+	post := func(size int) (int, map[string]any) {
+		body := valid + strings.Repeat(" ", size-len(valid))
+		resp, err := http.Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc map[string]any
+		_ = json.NewDecoder(resp.Body).Decode(&doc)
+		return resp.StatusCode, doc
+	}
+	if code, _ := post(service.MaxSubmitBytes + 1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: HTTP %d, want 413", code)
+	}
+	if got := len(d.List()); got != 0 {
+		t.Fatalf("the refused submission left %d jobs in the table", got)
+	}
+	code, doc := post(service.MaxSubmitBytes)
+	if code != http.StatusAccepted {
+		t.Fatalf("body at the limit: HTTP %d (%v), want 202", code, doc)
+	}
+	id, _ := doc["id"].(string)
+	if st := waitDispatchTerminal(t, d, id, 30*time.Second); st["state"] != "done" {
+		t.Fatalf("job at the limit ended %v", st["state"])
+	}
+}
+
 // TestDispatchCancelUnassigned covers cancelling a job that is waiting for
 // a node: it must go terminal locally and stream exactly one synthesized
 // terminal event.

@@ -60,9 +60,9 @@ func NewHandler(d *Dispatcher) http.Handler {
 		writeJSON(w, http.StatusOK, d.Learn(r.Context()))
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(r.Body)
+		body, code, err := service.ReadSubmitBody(w, r)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("dispatch: reading request: %w", err))
+			writeError(w, code, fmt.Errorf("dispatch: reading request: %w", err))
 			return
 		}
 		doc, err := d.Submit(body)

@@ -76,15 +76,12 @@ func BenchmarkRelaxationStructured(b *testing.B) {
 }
 
 // BenchmarkPostSwap measures one post-swap pass on the 1000-character 1M-1
-// instance, from the state the earlier Solve stages leave, at 1 and 2
-// workers. Each iteration restores that state first, off the clock.
+// and the 5000-character 1M-5 instance, from the state the earlier Solve
+// stages leave. Each iteration restores that state first, off the clock.
 func BenchmarkPostSwap(b *testing.B) {
-	in := gen.Family1M(1)
-	for _, w := range []int{1, 2} {
-		b.Run("w"+strconv.Itoa(w), func(b *testing.B) {
-			opt := Defaults()
-			opt.Workers = w
-			s := postSwapInput(b, in, opt)
+	for _, id := range []int{1, 5} {
+		b.Run("1M-"+strconv.Itoa(id), func(b *testing.B) {
+			s := postSwapInput(b, gen.Family1M(id), Defaults())
 			rows := append([]rowState(nil), s.rows...)
 			assigned := append([]int(nil), s.assigned...)
 			solved := append([]bool(nil), s.solved...)

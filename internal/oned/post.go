@@ -1,11 +1,12 @@
 package oned
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"eblow/internal/core"
 	"eblow/internal/matching"
-	"eblow/internal/par"
 )
 
 // This file implements the two post-optimization stages of E-BLOW 1D:
@@ -56,10 +57,9 @@ func reductionTable(in *core.Instance) (red, total []int64) {
 // case matters when several regions are tied at the maximum and no single
 // swap can lower all of them at once. Among the feasible swaps for a
 // candidate the lexicographically smallest (max, total) wins, the first in
-// (row, position, one-for-one before one-for-two) order on ties. Rows are
-// scanned on the worker pool, each into its own slot, and the slots are
-// merged in row order with the same strict rule, so the choice is the one a
-// sequential scan makes, for any worker count.
+// (row, position, one-for-one before one-for-two) order on ties. bestSwap
+// finds that move best-first, walking a swapIndex of the on-stencil
+// characters that each applied swap keeps current.
 func (s *solver) postSwapOnce() bool {
 	times := s.regionTimes()
 	profits := s.currentProfits()
@@ -71,7 +71,7 @@ func (s *solver) postSwapOnce() bool {
 
 	nr := s.in.NumRegions
 	base := swapBase{times: make([]int64, nr)}
-	moves := make([]swapMove, s.m) // best move per row
+	idx := s.newSwapIndex()
 	improvedAny := false
 
 	for _, u := range candidates {
@@ -88,15 +88,7 @@ func (s *solver) postSwapOnce() bool {
 			}
 		}
 		cur := swapMove{max: core.MaxInt64(times), total: sumTimes(times)}
-		par.For(s.opt.workerCount(), s.m, func(j int) {
-			moves[j] = s.bestSwapInRow(u, j, &base, cur)
-		})
-		best, bestRow := cur, -1
-		for j, mv := range moves {
-			if mv.drop > 0 && mv.beats(best) {
-				best, bestRow = mv, j
-			}
-		}
+		best, bestRow := s.bestSwap(u, idx, &base, cur)
 		if bestRow < 0 {
 			continue
 		}
@@ -107,12 +99,15 @@ func (s *solver) postSwapOnce() bool {
 		order = append(order, u)
 		order = append(order, row.order[best.k+best.drop:]...)
 		for _, v := range row.order[best.k : best.k+best.drop] {
+			idx.remove(v)
 			s.unassign(v)
 			for c, r := range s.red[v*nr : (v+1)*nr] {
 				times[c] += r
 			}
 		}
 		s.assign(u, bestRow)
+		idx.insert(u)
+		idx.place(order)
 		row.order = order
 		row.width = s.rowWidthWithOrder(order)
 		for c := range times {
@@ -145,29 +140,98 @@ func (m swapMove) beats(o swapMove) bool {
 	return m.max < o.max || (m.max == o.max && m.total < o.total)
 }
 
-// bestSwapInRow returns row j's first feasible move with the smallest
-// (max, total) that beats bar, or bar itself when none does. base holds
-// the region times with candidate u added. It only reads solver state, so
-// rows can be scanned concurrently.
-func (s *solver) bestSwapInRow(u, j int, base *swapBase, bar swapMove) swapMove {
-	if !s.allowed(u, j) {
-		return bar
+// swapIndex is post-swap's walk order: the on-stencil characters sorted by
+// ascending (redTotal, id), and each one's position in its row's order.
+// The row itself is s.assigned.
+type swapIndex struct {
+	key []int64 // s.redTotal
+	ids []int32 // on-stencil characters by (key, id)
+	pos []int32 // pos[v] is v's position in its row's order
+}
+
+// newSwapIndex indexes the current stencil.
+func (s *solver) newSwapIndex() *swapIndex {
+	x := &swapIndex{key: s.redTotal, pos: make([]int32, s.n)}
+	for i, j := range s.assigned {
+		if j >= 0 {
+			x.ids = append(x.ids, int32(i))
+		}
 	}
-	order := s.rows[j].order
-	for k := range order {
+	slices.SortFunc(x.ids, x.compare)
+	for j := range s.rows {
+		x.place(s.rows[j].order)
+	}
+	return x
+}
+
+// compare orders characters by (key, id).
+func (x *swapIndex) compare(a, b int32) int {
+	return cmp.Or(cmp.Compare(x.key[a], x.key[b]), cmp.Compare(a, b))
+}
+
+// remove drops on-stencil character v from the walk order.
+func (x *swapIndex) remove(v int) {
+	i, _ := slices.BinarySearchFunc(x.ids, int32(v), x.compare)
+	x.ids = slices.Delete(x.ids, i, i+1)
+}
+
+// insert adds character v to the walk order.
+func (x *swapIndex) insert(v int) {
+	i, _ := slices.BinarySearchFunc(x.ids, int32(v), x.compare)
+	x.ids = slices.Insert(x.ids, i, int32(v))
+}
+
+// place records the positions of one row's characters.
+func (x *swapIndex) place(order []int) {
+	for k, v := range order {
+		x.pos[v] = int32(k)
+	}
+}
+
+// bestSwap returns candidate u's first feasible move with the smallest
+// (max, total) that beats cur, with its row, or cur and -1 when none does.
+// base holds the region times with u added.
+//
+// A move's maximum is never below floor, the slowest base region: leaving
+// characters only add time back. Once the best move sits at the floor,
+// moves compete on total alone, and a move's total is at least base.total
+// plus its first leaving character's redTotal. The walk visits leaving
+// characters in ascending redTotal, so it stops at the first one whose
+// total alone exceeds the best's: no later move can win or tie. As the walk
+// is not in (row, position, drop) order, a move that precedes the best in
+// that order also wins an exact tie.
+func (s *solver) bestSwap(u int, x *swapIndex, base *swapBase, cur swapMove) (swapMove, int) {
+	floor := max(0, base.times[base.hot])
+	best, bestRow := cur, -1
+	for _, v32 := range x.ids {
+		v := int(v32)
+		if best.max == floor && base.total+s.redTotal[v] > best.total {
+			s.swapFloorStops++
+			break
+		}
+		j := s.assigned[v]
+		if !s.allowed(u, j) {
+			continue
+		}
+		k := int(x.pos[v])
+		order := s.rows[j].order
 		// One-for-one replaces order[k] by u; one-for-two replaces the
 		// adjacent pair starting at k, the only way a wide character can
 		// enter a tightly packed row.
 		for drop := 1; drop <= 2 && k+drop <= len(order); drop++ {
+			bar := best
+			if bestRow >= 0 && (j < bestRow || j == bestRow && (k < best.k || k == best.k && drop < best.drop)) {
+				bar.total++ // totals are integers: accept an exact tie
+			}
 			mv, ok := s.swapCost(base, order[k:k+drop], bar)
 			if !ok || s.spliceWidth(j, k, drop, u) > s.w {
 				continue
 			}
 			mv.k, mv.drop = k, drop
-			bar = mv
+			best, bestRow = mv, j
 		}
 	}
-	return bar
+	return best, bestRow
 }
 
 // swapCost evaluates the region times of base once the characters in out

@@ -2,6 +2,7 @@ package oned
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -185,23 +186,57 @@ func postSwapPasses(s *solver, pass func() bool) []swapSnapshot {
 	return snaps
 }
 
-// The allocation-free, row-parallel post-swap must apply exactly the swaps
-// of the original sequential pass, after every pass and at every worker
-// count.
+// tieHeavy rewrites in so reduction totals collide: repeats mod 3 and 2 or 3
+// VSB shots per character. Many post-swap moves then tie on (max, total),
+// which exercises bestSwap's earlier-position tie rule.
+func tieHeavy(in *core.Instance) *core.Instance {
+	for i := range in.Characters {
+		c := &in.Characters[i]
+		c.VSBShots = 2 + i%2
+		for r := range c.Repeats {
+			c.Repeats[r] %= 3
+		}
+	}
+	return in
+}
+
+// The sequential, best-first post-swap must apply exactly the swaps of the
+// original row-order pass after every pass, at every worker count (the
+// region times and profits it starts from are still computed on the pool).
+// A seeded gen.Small sweep, a third of it tie-heavy, backs the hand-picked
+// cases.
 func TestPostSwapMatchesReferenceWorkers(t *testing.T) {
 	banded, groups := groupedInstance(300, 6, 2, 4, 29)
-	cases := []struct {
-		name   string
-		in     *core.Instance
-		groups []RowGroup
-	}{
-		{"small-17", gen.Small(core.OneD, 140, 4, 17), nil},
-		{"small-23", gen.Small(core.OneD, 200, 6, 23), nil},
-		{"small-41", gen.Small(core.OneD, 90, 7, 41), nil},
-		{"banded", banded, groups},
-		{"1M-1", gen.Family1M(1), nil},
+	type swapCase struct {
+		name    string
+		in      *core.Instance
+		groups  []RowGroup
+		workers []int
 	}
-	swaps := 0
+	all := []int{1, 2, 4, 8}
+	cases := []swapCase{
+		{"small-17", gen.Small(core.OneD, 140, 4, 17), nil, all},
+		{"small-23", gen.Small(core.OneD, 200, 6, 23), nil, all},
+		{"small-41", gen.Small(core.OneD, 90, 7, 41), nil, all},
+		{"banded", banded, groups, all},
+		{"1M-1", gen.Family1M(1), nil, all},
+	}
+	if !testing.Short() {
+		cases = append(cases, swapCase{"1M-5", gen.Family1M(5), nil, []int{2}})
+	}
+	seeds := 120
+	if testing.Short() {
+		seeds = 40
+	}
+	for seed := range int64(seeds) {
+		in := gen.Small(core.OneD, 60+int(seed*29%160), 1+int(seed%8), 1000+seed)
+		name := fmt.Sprintf("sweep-%d", seed)
+		if seed%3 == 0 {
+			in, name = tieHeavy(in), name+"-ties"
+		}
+		cases = append(cases, swapCase{name, in, nil, []int{2}})
+	}
+	swaps, stops := 0, 0
 	for _, tc := range cases {
 		opt := Defaults()
 		opt.RowGroups = tc.groups
@@ -213,11 +248,11 @@ func TestPostSwapMatchesReferenceWorkers(t *testing.T) {
 				swaps++
 			}
 		}
-		t.Logf("%s: %d passes", tc.name, len(want))
-		for _, workers := range []int{1, 2, 4, 8} {
+		for _, workers := range tc.workers {
 			opt.Workers = workers
 			s := postSwapInput(t, tc.in, opt)
 			got := postSwapPasses(s, s.postSwapOnce)
+			stops += s.swapFloorStops
 			if len(got) != len(want) {
 				t.Errorf("%s workers=%d: %d passes, reference ran %d", tc.name, workers, len(got), len(want))
 				continue
@@ -230,7 +265,11 @@ func TestPostSwapMatchesReferenceWorkers(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d cases, %d improving reference passes, %d floor stops", len(cases), swaps, stops)
 	if swaps == 0 {
 		t.Fatal("no case applied a swap; the comparison exercised nothing")
+	}
+	if stops == 0 {
+		t.Fatal("no walk reached the floor stop; the best-first cut-off went untested")
 	}
 }

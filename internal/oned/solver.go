@@ -31,6 +31,9 @@ type solver struct {
 	// redTotal[i] sums character i's row of it. Nil before post-swap.
 	red      []int64
 	redTotal []int64
+	// swapFloorStops counts post-swap walks that bestSwap's floor stop
+	// cut short; tests read it to see that the stop runs.
+	swapFloorStops int
 
 	assigned []int  // row index per character, -1 when not on the stencil
 	solved   []bool // successive-rounding bookkeeping

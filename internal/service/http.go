@@ -59,7 +59,12 @@ func NewHandler(m *Manager) http.Handler {
 		})
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		spec, err := decodeSubmit(r)
+		body, code, err := ReadSubmitBody(w, r)
+		if err != nil {
+			writeError(w, code, fmt.Errorf("service: reading request: %w", err))
+			return
+		}
+		spec, err := ParseSubmit(body)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -165,12 +170,23 @@ type wireParams struct {
 	Strategies []string `json:"strategies,omitempty"`
 }
 
-func decodeSubmit(r *http.Request) (JobSpec, error) {
-	body, err := io.ReadAll(r.Body)
+// MaxSubmitBytes caps a POST /v1/jobs body, on a node and on the
+// dispatcher alike. The largest paper instance, 1M-5, encodes to about
+// 1.4 MB inline.
+const MaxSubmitBytes = 16 << 20
+
+// ReadSubmitBody reads a POST /v1/jobs body of at most MaxSubmitBytes. On
+// error it also returns the status to answer with: 413 for an oversized
+// body, 400 otherwise.
+func ReadSubmitBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
 	if err != nil {
-		return JobSpec{}, fmt.Errorf("service: reading request: %w", err)
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			return nil, http.StatusRequestEntityTooLarge, err
+		}
+		return nil, http.StatusBadRequest, err
 	}
-	return ParseSubmit(body)
+	return body, 0, nil
 }
 
 // ParseSubmit validates one POST /v1/jobs body and resolves it to a job

@@ -236,6 +236,30 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// A submit body over MaxSubmitBytes is refused with 413 before it is
+// parsed; a body of exactly MaxSubmitBytes is accepted.
+func TestHTTPSubmitBodyLimit(t *testing.T) {
+	_, srv := newTestServer(t, 1)
+	valid := `{"benchmark": "1T-1", "solver": "greedy"}`
+	for _, tc := range []struct {
+		size int
+		want int
+	}{
+		{MaxSubmitBytes, http.StatusAccepted},
+		{MaxSubmitBytes + 1, http.StatusRequestEntityTooLarge},
+	} {
+		body := valid + strings.Repeat(" ", tc.size-len(valid))
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte body returned %d, want %d", tc.size, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 // Nonsense solver parameters must fail at decode time with a 400 that names
 // the offending field, not queue a doomed job.
 func TestHTTPParamValidation(t *testing.T) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test for cmd/eblowd: build the server, boot it on a random port,
 # submit a small 1D and a small 2D instance over HTTP, and assert both jobs
-# complete with feasible plans. Gates the batched job service surface in CI.
+# complete with feasible plans, then stop it with SIGTERM and require a
+# graceful drain. Gates the batched job service surface in CI.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -78,5 +79,14 @@ case "$state" in
   done|canceled) echo "   job $id3 is $state after cancel request" ;;
   *) echo "unexpected state $state after cancel"; exit 1 ;;
 esac
+
+echo "== stopping with SIGTERM"
+kill -TERM "$server_pid"
+status=0
+wait "$server_pid" || status=$?
+server_pid=""
+[[ $status -eq 0 ]] || { echo "server exited with status $status after SIGTERM:"; cat "$log"; exit 1; }
+grep -q "shutting down" "$log" || { echo "no graceful drain after SIGTERM:"; cat "$log"; exit 1; }
+echo "   drained and exited 0"
 
 echo "eblowd smoke test passed"
