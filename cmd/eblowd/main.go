@@ -171,7 +171,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: handler}
+	srv := service.NewServer(handler)
 
 	// SIGINT (Ctrl-C) or SIGTERM (kill, orchestrators) drains in-flight
 	// requests, cancels running jobs and exits instead of dropping
@@ -269,7 +269,7 @@ func runDispatch(addr, nodesSpec, walPath, authKeys string, vnodes int, healthIn
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: handler}
+	srv := service.NewServer(handler)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

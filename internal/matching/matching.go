@@ -1,131 +1,55 @@
-// Package matching implements maximum-weight bipartite matching via the
-// Hungarian algorithm. E-BLOW uses it in the post-insertion stage of the 1D
-// planner: unselected characters are matched to stencil rows with spare
-// capacity so that the total inserted profit is maximized under the
-// constraint of at most one insertion per row (Fig. 8 of the paper).
+// Package matching implements maximum-weight bipartite matching for graphs
+// whose edge weights depend only on the left vertex. E-BLOW uses it in the
+// post-insertion stage of the 1D planner: unselected characters are matched
+// to stencil rows with spare capacity so that the total inserted profit is
+// maximized under the constraint of at most one insertion per row (Fig. 8 of
+// the paper). Every edge of a character carries that character's profit.
 package matching
 
-import "math"
-
-// Edge is an admissible (left, right) pair with a non-negative weight.
-// Edges with negative weight are ignored (matching them can never help).
-type Edge struct {
-	L, R   int
-	Weight float64
-}
-
-// MaxWeight computes a maximum-weight matching of the bipartite graph with
-// nLeft left vertices, nRight right vertices and the given edges. It returns
-// the matched right vertex for every left vertex (-1 when unmatched) and the
-// total weight. The matching is not required to be perfect: vertices stay
-// unmatched whenever that is at least as good.
+// Greedy computes a maximum-weight matching of a bipartite graph with
+// len(adj) left vertices and nRight right vertices, where every edge of left
+// vertex i has the same weight w_i > 0. adj[i] lists i's admissible right
+// vertices in ascending order; entries outside [0, nRight) are ignored.
 //
-// The implementation is the O(n^3) Hungarian algorithm on a square matrix
-// padded with zero-weight cells; zero-weight assignments are reported as
-// "unmatched".
-func MaxWeight(nLeft, nRight int, edges []Edge) ([]int, float64) {
-	match := make([]int, nLeft)
+// Precondition: left vertices are given in non-increasing weight order
+// (w_0 >= w_1 >= ...). The sets of left vertices that can be matched
+// together form a transversal matroid, so taking them in that order and
+// keeping each one that an augmenting path can add yields a maximum-weight
+// matching (Rado–Edmonds). The augmenting path is Kuhn's depth-first search,
+// trying right vertices in adj order; the first path found is used.
+//
+// It returns the matched right vertex for every left vertex, -1 when
+// unmatched. The cost is O(V·E) on the sparse graph.
+func Greedy(adj [][]int, nRight int) []int {
+	match := make([]int, len(adj)) // left -> right, -1 when unmatched
+	owner := make([]int, nRight)   // right -> left, -1 when free
+	seen := make([]int, nRight)    // seen[r] == stamp once this search visited r
 	for i := range match {
 		match[i] = -1
 	}
-	if nLeft == 0 || nRight == 0 || len(edges) == 0 {
-		return match, 0
+	for r := range owner {
+		owner[r] = -1
 	}
-
-	n := nLeft
-	if nRight > n {
-		n = nRight
-	}
-	// weight[i][j] >= 0; absent edges have weight 0.
-	weight := make([][]float64, n)
-	for i := range weight {
-		weight[i] = make([]float64, n)
-	}
-	for _, e := range edges {
-		if e.L < 0 || e.L >= nLeft || e.R < 0 || e.R >= nRight {
-			continue
-		}
-		if e.Weight > weight[e.L][e.R] {
-			weight[e.L][e.R] = e.Weight
-		}
-	}
-
-	// Hungarian algorithm for the assignment problem, maximization form,
-	// using the standard shortest-augmenting-path formulation on costs
-	// cost[i][j] = maxW - weight[i][j].
-	maxW := 0.0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if weight[i][j] > maxW {
-				maxW = weight[i][j]
+	stamp := 0
+	// augment looks for an augmenting path from left vertex i and flips it,
+	// reporting whether one was found.
+	var augment func(i int) bool
+	augment = func(i int) bool {
+		for _, r := range adj[i] {
+			if r < 0 || r >= nRight || seen[r] == stamp {
+				continue
+			}
+			seen[r] = stamp
+			if o := owner[r]; o < 0 || augment(o) {
+				owner[r], match[i] = i, r
+				return true
 			}
 		}
+		return false
 	}
-	cost := func(i, j int) float64 { return maxW - weight[i][j] }
-
-	const inf = math.MaxFloat64
-	u := make([]float64, n+1)
-	v := make([]float64, n+1)
-	p := make([]int, n+1)   // p[j] = row matched to column j (1-based, 0 = none)
-	way := make([]int, n+1) // way[j] = previous column on the augmenting path
-	for i := 1; i <= n; i++ {
-		p[0] = i
-		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
-		for j := 0; j <= n; j++ {
-			minv[j] = inf
-		}
-		for {
-			used[j0] = true
-			i0 := p[j0]
-			delta := inf
-			j1 := 0
-			for j := 1; j <= n; j++ {
-				if used[j] {
-					continue
-				}
-				cur := cost(i0-1, j-1) - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
-				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
-				}
-			}
-			for j := 0; j <= n; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
-			}
-			j0 = j1
-			if p[j0] == 0 {
-				break
-			}
-		}
-		for j0 != 0 {
-			j1 := way[j0]
-			p[j0] = p[j1]
-			j0 = j1
-		}
+	for i := range adj {
+		stamp = i + 1
+		augment(i)
 	}
-
-	total := 0.0
-	for j := 1; j <= n; j++ {
-		i := p[j] - 1
-		r := j - 1
-		if i < 0 || i >= nLeft || r >= nRight {
-			continue
-		}
-		if weight[i][r] > 0 {
-			match[i] = r
-			total += weight[i][r]
-		}
-	}
-	return match, total
+	return match
 }

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"testing"
 
+	"eblow/internal/core"
 	"eblow/internal/gen"
 )
 
@@ -76,12 +77,25 @@ func BenchmarkRelaxationStructured(b *testing.B) {
 }
 
 // BenchmarkPostSwap measures one post-swap pass on the 1000-character 1M-1
-// and the 5000-character 1M-5 instance, from the state the earlier Solve
+// and the 4000-character 1M-5 instance, from the state the earlier Solve
 // stages leave. Each iteration restores that state first, off the clock.
 func BenchmarkPostSwap(b *testing.B) {
+	benchPass(b, postSwapInput, func(s *solver) bool { return s.postSwapOnce() })
+}
+
+// BenchmarkPostInsert measures one post-insertion pass (graph, matching and
+// insertions) on 1M-1 and 1M-5, from the state post-swap leaves. Each
+// iteration restores that state first, off the clock.
+func BenchmarkPostInsert(b *testing.B) {
+	benchPass(b, postInsertInput, func(s *solver) bool { return s.postInsertOnce() > 0 })
+}
+
+// benchPass times pass on 1M-1 and 1M-5 from the state input returns,
+// restored before every iteration, and fails if a pass changes nothing.
+func benchPass(b *testing.B, input func(testing.TB, *core.Instance, Options) *solver, pass func(*solver) bool) {
 	for _, id := range []int{1, 5} {
 		b.Run("1M-"+strconv.Itoa(id), func(b *testing.B) {
-			s := postSwapInput(b, gen.Family1M(id), Defaults())
+			s := input(b, gen.Family1M(id), Defaults())
 			rows := append([]rowState(nil), s.rows...)
 			assigned := append([]int(nil), s.assigned...)
 			solved := append([]bool(nil), s.solved...)
@@ -89,6 +103,7 @@ func BenchmarkPostSwap(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				// Passes replace row orders but append to row chars.
 				for j, r := range rows {
 					r.chars = append([]int(nil), r.chars...)
 					s.rows[j] = r
@@ -96,8 +111,8 @@ func BenchmarkPostSwap(b *testing.B) {
 				copy(s.assigned, assigned)
 				copy(s.solved, solved)
 				b.StartTimer()
-				if !s.postSwapOnce() {
-					b.Fatal("the pass applied no swap")
+				if !pass(s) {
+					b.Fatal("the pass changed nothing")
 				}
 			}
 		})

@@ -318,51 +318,14 @@ func (s *solver) postInsert() {
 // (Fig. 8 of the paper); the insertion point inside a row is the gap with
 // the smallest width increase.
 func (s *solver) postInsertOnce() int {
-	profits := s.currentProfits()
-	candidates := s.unselectedByProfit(profits, s.opt.PostInsertCandidates)
-	if len(candidates) == 0 {
-		return 0
-	}
-
-	// Rows with spare capacity.
-	type rowSlack struct {
-		row   int
-		slack int
-	}
-	var rows []rowSlack
-	for j := range s.rows {
-		slack := s.w - s.rows[j].width
-		if slack > 0 {
-			rows = append(rows, rowSlack{row: j, slack: slack})
-		}
-	}
-	if len(rows) == 0 {
-		return 0
-	}
-
-	var edges []matching.Edge
-	for ci, u := range candidates {
-		for rj, rs := range rows {
-			if !s.allowed(u, rs.row) {
-				continue
-			}
-			if _, delta := s.bestInsertion(u, s.rows[rs.row].order); delta <= rs.slack {
-				edges = append(edges, matching.Edge{L: ci, R: rj, Weight: profits[u]})
-			}
-		}
-	}
-	if len(edges) == 0 {
-		return 0
-	}
+	cands, rows, adj := s.insertGraph(s.currentProfits())
 	inserted := 0
-	match, _ := matching.MaxWeight(len(candidates), len(rows), edges)
-	for ci, rj := range match {
+	for ci, rj := range matching.Greedy(adj, len(rows)) {
 		if rj < 0 {
 			continue
 		}
-		u := candidates[ci]
-		rowIdx := rows[rj].row
-		row := &s.rows[rowIdx]
+		u := cands[ci]
+		row := &s.rows[rows[rj]]
 		// The matching gives each row at most one insertion, so the row is
 		// still as it was when its edge was built: recomputing the gap
 		// finds the same one.
@@ -375,12 +338,39 @@ func (s *solver) postInsertOnce() int {
 		if width > s.w {
 			continue // the symmetric estimate was off; skip this insertion
 		}
-		s.assign(u, rowIdx)
+		s.assign(u, rows[rj])
 		row.order = order
 		row.width = width
 		inserted++
 	}
 	return inserted
+}
+
+// insertGraph returns post-insertion's bipartite graph: the candidates
+// (unselectedByProfit's order, so non-increasing profit as matching.Greedy
+// requires), the rows with spare width in ascending order, and for each
+// candidate the indexes into rows it fits, ascending. A candidate fits a
+// row it is allowed in when its cheapest gap widens the row by no more
+// than the row's slack. The weight of every edge is the candidate's profit.
+func (s *solver) insertGraph(profits []float64) (cands, rows []int, adj [][]int) {
+	cands = s.unselectedByProfit(profits, s.opt.PostInsertCandidates)
+	for j := range s.rows {
+		if s.rows[j].width < s.w {
+			rows = append(rows, j)
+		}
+	}
+	adj = make([][]int, len(cands))
+	for ci, u := range cands {
+		for rj, j := range rows {
+			if !s.allowed(u, j) {
+				continue
+			}
+			if _, delta := s.bestInsertion(u, s.rows[j].order); delta <= s.w-s.rows[j].width {
+				adj[ci] = append(adj[ci], rj)
+			}
+		}
+	}
+	return cands, rows, adj
 }
 
 // appendRemaining greedily appends any remaining positive-profit characters

@@ -150,6 +150,28 @@ func NewHandler(m *Manager) http.Handler {
 	return mux
 }
 
+// Connection timeouts of the servers NewServer builds. A client that stalls
+// while sending its request headers or body is cut off, and an idle
+// keep-alive connection is closed. ReadTimeout ends once the request is
+// read, and there is no write timeout, so an events stream stays open for as
+// long as its job runs.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	ReadTimeout       = 60 * time.Second
+	IdleTimeout       = 120 * time.Second
+)
+
+// NewServer returns the http.Server that serves h, on a node and on the
+// dispatcher alike.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		ReadTimeout:       ReadTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
+}
+
 // submitRequest is the POST /v1/jobs body: exactly one of Benchmark or
 // Instance names the problem; Solver and Params pick the strategy.
 type submitRequest struct {

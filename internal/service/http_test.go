@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -414,4 +416,84 @@ func TestHTTPQueueFull429(t *testing.T) {
 		delResp.Body.Close()
 	}
 	postJob(t, srv, `{"benchmark": "1D-1", "solver": "greedy"}`)
+}
+
+// NewServer's timeouts, shortened so the test takes about a second: a
+// client that stops in the middle of its request header is disconnected,
+// while an events stream stays attached past ReadTimeout until its job
+// goes terminal.
+func TestServerTimeouts(t *testing.T) {
+	if s := NewServer(nil); s.ReadHeaderTimeout != ReadHeaderTimeout || s.ReadTimeout != ReadTimeout ||
+		s.IdleTimeout != IdleTimeout || s.WriteTimeout != 0 {
+		t.Fatalf("NewServer timeouts: header %v, read %v, idle %v, write %v",
+			s.ReadHeaderTimeout, s.ReadTimeout, s.IdleTimeout, s.WriteTimeout)
+	}
+	// A job labelled "held" runs until it is canceled.
+	orig := solveSpec
+	t.Cleanup(func() { solveSpec = orig })
+	held := make(chan struct{}, 1)
+	solveSpec = func(ctx context.Context, spec JobSpec) (*eblow.Result, error) {
+		if spec.Label == "held" {
+			held <- struct{}{}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return orig(ctx, spec)
+	}
+	const readTimeout = 200 * time.Millisecond
+	m := New(Config{Workers: 1})
+	srv := httptest.NewUnstartedServer(nil)
+	srv.Config = NewServer(NewHandler(m))
+	srv.Config.ReadHeaderTimeout = readTimeout / 2
+	srv.Config.ReadTimeout = readTimeout
+	srv.Start()
+	t.Cleanup(func() {
+		srv.Close()
+		m.Close()
+	})
+
+	t.Run("partial header", func(t *testing.T) {
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// The blank line that ends the header never comes.
+		if _, err := io.WriteString(conn, "GET /v1/solvers HTTP/1.1\r\nHost: eblowd\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadAll(conn); err != nil {
+			t.Fatalf("the server kept the connection open: %v", err)
+		}
+	})
+
+	t.Run("events outlive ReadTimeout", func(t *testing.T) {
+		id := postJob(t, srv, `{"benchmark": "1T-1", "solver": "greedy", "label": "held"}`)["id"].(string)
+		<-held
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		time.Sleep(3 * readTimeout)
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+id, nil)
+		del, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		del.Body.Close()
+		var last Event
+		scanner := bufio.NewScanner(resp.Body)
+		for scanner.Scan() {
+			if err := json.Unmarshal(scanner.Bytes(), &last); err != nil {
+				t.Fatalf("bad NDJSON line %q: %v", scanner.Text(), err)
+			}
+		}
+		if last.State != StateCanceled {
+			t.Errorf("stream ended at state %q, want %q: it was cut before its job ended", last.State, StateCanceled)
+		}
+	})
 }
